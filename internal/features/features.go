@@ -44,7 +44,7 @@ type Example struct {
 	UptimeLog10 float64 // log10 uptime hours input (survival augmentation, §3)
 }
 
-// Encoder maps Features to a fixed-width []float64 using target encoding
+// Encoder maps Features to a fixed-width vector using target encoding
 // learned from a training set. The zero Encoder is not usable; build one
 // with Fit.
 type Encoder struct {
@@ -88,9 +88,10 @@ func Fit(examples []Example) *Encoder {
 
 // Encode converts f into a numeric vector. uptimeLog10 is the log10 of the
 // VM's uptime so far in hours (use a large negative value, e.g. -4, for
-// zero uptime); it occupies the final column.
-func (e *Encoder) Encode(f Features, uptimeLog10 float64) []float64 {
-	out := make([]float64, NumColumns)
+// zero uptime); it occupies the final column. The vector is returned by
+// value so encoding a prediction's input does not allocate.
+func (e *Encoder) Encode(f Features, uptimeLog10 float64) [NumColumns]float64 {
+	var out [NumColumns]float64
 	cats := catValues(f)
 	for col := 0; col < 5; col++ {
 		if v, ok := e.cat[col][cats[col]]; ok {

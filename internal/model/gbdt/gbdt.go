@@ -9,6 +9,10 @@ import (
 	"sort"
 )
 
+// MaxLeaves is the largest Params.MaxLeaves Train accepts: a tree with L
+// leaves has 2L-1 nodes, and node indices are int16.
+const MaxLeaves = 16384
+
 // Params are the training hyperparameters. Zero values take the defaults in
 // brackets, which mirror the paper's Appendix B configuration scaled down
 // for synthetic data.
@@ -42,13 +46,14 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// node is one tree node. Leaves have Feature == -1 and carry Value; internal
-// nodes route binned feature values <= Bin to Left, else Right.
+// node is one tree node, 16 bytes. Leaves have Feature == -1 and carry
+// Value; internal nodes route binned feature values <= Bin to Left, else
+// Right. Children always have higher indices than their parent.
 type node struct {
-	Feature int     `json:"f"`
+	Feature int16   `json:"f"`
 	Bin     uint8   `json:"b"`
-	Left    int32   `json:"l"`
-	Right   int32   `json:"r"`
+	Left    int16   `json:"l"`
+	Right   int16   `json:"r"`
 	Value   float64 `json:"v"`
 }
 
@@ -72,8 +77,14 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 		return nil, errors.New("gbdt: empty or mismatched training data")
 	}
 	p = p.withDefaults()
+	if p.MaxLeaves > MaxLeaves {
+		return nil, fmt.Errorf("gbdt: MaxLeaves %d exceeds %d", p.MaxLeaves, MaxLeaves)
+	}
 	nf := len(X[0])
 	n := len(X)
+	if nf > math.MaxInt16 {
+		return nil, fmt.Errorf("gbdt: %d features exceed %d", nf, math.MaxInt16)
+	}
 	for i, row := range X {
 		if len(row) != nf {
 			return nil, fmt.Errorf("gbdt: row %d has %d features, want %d", i, len(row), nf)
@@ -83,13 +94,11 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	m := &Model{NumFeat: nf, Gain: make([]float64, nf), TrainedN: n}
 	m.Edges = computeEdges(X, nf, p.Bins)
 
-	// Bin the matrix column-major.
-	cols := make([][]uint8, nf)
-	for f := 0; f < nf; f++ {
-		cols[f] = make([]uint8, n)
-		for i := 0; i < n; i++ {
-			cols[f][i] = binValue(m.Edges[f], X[i][f])
-		}
+	// Bin the matrix row-major: row i is rows[i*nf : (i+1)*nf], the same
+	// layout Predict bins a single vector into.
+	rows := make([]uint8, n*nf)
+	for i := 0; i < n; i++ {
+		m.binRow(rows[i*nf:(i+1)*nf], X[i])
 	}
 
 	// Bias = mean target; residual boosting on squared loss.
@@ -106,7 +115,8 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 	resid := make([]float64, n)
 
 	idx := make([]int, n)
-	builder := treeBuilder{cols: cols, p: p, gain: m.Gain}
+	builder := treeBuilder{rows: rows, nf: nf, p: p, gain: m.Gain,
+		sums: make([]float64, nf*256), cnts: make([]int, nf*256)}
 	for t := 0; t < p.Trees; t++ {
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
@@ -122,7 +132,7 @@ func Train(X [][]float64, y []float64, p Params) (*Model, error) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			pred[i] += tr.predictBinned(cols, i)
+			pred[i] += tr.walk(rows[i*nf : (i+1)*nf])
 		}
 		m.Trees = append(m.Trees, tr)
 	}
@@ -158,17 +168,27 @@ func binValue(edges []float64, x float64) uint8 {
 	return uint8(i)
 }
 
+// binRow bins the raw feature vector x into bins, one entry per feature.
+func (m *Model) binRow(bins []uint8, x []float64) {
+	for f := range bins {
+		bins[f] = binValue(m.Edges[f], x[f])
+	}
+}
+
 // --- tree construction ------------------------------------------------------
 
 type treeBuilder struct {
-	cols [][]uint8
+	rows []uint8 // row-major binned training matrix
+	nf   int
 	p    Params
 	gain []float64
+	sums []float64 // per-(feature, bin) histogram scratch, nf*256
+	cnts []int
 }
 
 // splitCand describes the best split found for a leaf.
 type splitCand struct {
-	node    int32 // node index in the growing tree
+	node    int16 // node index in the growing tree
 	idx     []int // samples at the node
 	feature int
 	bin     uint8
@@ -205,7 +225,7 @@ func (b *treeBuilder) build(idx []int, r []float64) tree {
 		cands = append(cands[:best], cands[best+1:]...)
 
 		// Materialize the split.
-		li := int32(len(tr.Nodes))
+		li := int16(len(tr.Nodes))
 		ls := 0.0
 		for _, i := range c.left {
 			ls += r[i]
@@ -215,9 +235,9 @@ func (b *treeBuilder) build(idx []int, r []float64) tree {
 			rs += r[i]
 		}
 		tr.Nodes = append(tr.Nodes, node{Feature: -1, Left: -1, Right: -1, Value: ls / float64(len(c.left))})
-		ri := int32(len(tr.Nodes))
+		ri := int16(len(tr.Nodes))
 		tr.Nodes = append(tr.Nodes, node{Feature: -1, Left: -1, Right: -1, Value: rs / float64(len(c.right))})
-		tr.Nodes[c.node].Feature = c.feature
+		tr.Nodes[c.node].Feature = int16(c.feature)
 		tr.Nodes[c.node].Bin = c.bin
 		tr.Nodes[c.node].Left = li
 		tr.Nodes[c.node].Right = ri
@@ -234,9 +254,10 @@ func (b *treeBuilder) build(idx []int, r []float64) tree {
 	return tr
 }
 
-// bestSplit finds the max-variance-reduction split of samples idx, scanning
-// histogram bins per feature.
-func (b *treeBuilder) bestSplit(nodeIdx int32, idx []int, r []float64) (splitCand, bool) {
+// bestSplit finds the max-variance-reduction split of samples idx. One pass
+// over the rows fills every feature's histogram; each bin sums its samples
+// in idx order.
+func (b *treeBuilder) bestSplit(nodeIdx int16, idx []int, r []float64) (splitCand, bool) {
 	if len(idx) < 2*b.p.MinLeafSamples {
 		return splitCand{}, false
 	}
@@ -247,30 +268,30 @@ func (b *treeBuilder) bestSplit(nodeIdx int32, idx []int, r []float64) (splitCan
 	n := float64(len(idx))
 	baseScore := total * total / n
 
+	nf := b.nf
+	sums, cnts := b.sums, b.cnts
+	clear(sums)
+	clear(cnts)
+	for _, i := range idx {
+		row := b.rows[i*nf : (i+1)*nf]
+		for f, bn := range row {
+			sums[f*256+int(bn)] += r[i]
+			cnts[f*256+int(bn)]++
+		}
+	}
+
 	bestGain := 1e-12
 	bestFeat, bestBin := -1, uint8(0)
-	nf := len(b.cols)
-
-	var sums [256]float64
-	var cnts [256]int
 	for f := 0; f < nf; f++ {
-		col := b.cols[f]
-		maxBin := 0
-		for i := range sums {
-			sums[i], cnts[i] = 0, 0
-		}
-		for _, i := range idx {
-			bn := int(col[i])
-			sums[bn] += r[i]
-			cnts[bn]++
-			if bn > maxBin {
-				maxBin = bn
-			}
+		fs, fc := sums[f*256:(f+1)*256], cnts[f*256:(f+1)*256]
+		maxBin := 255
+		for maxBin > 0 && fc[maxBin] == 0 {
+			maxBin--
 		}
 		cumSum, cumCnt := 0.0, 0
 		for bn := 0; bn < maxBin; bn++ { // split "<= bn"
-			cumSum += sums[bn]
-			cumCnt += cnts[bn]
+			cumSum += fs[bn]
+			cumCnt += fc[bn]
 			if cumCnt < b.p.MinLeafSamples || len(idx)-cumCnt < b.p.MinLeafSamples {
 				continue
 			}
@@ -286,9 +307,8 @@ func (b *treeBuilder) bestSplit(nodeIdx int32, idx []int, r []float64) (splitCan
 		return splitCand{}, false
 	}
 	c := splitCand{node: nodeIdx, idx: idx, feature: bestFeat, bin: bestBin, gain: bestGain, sum: total}
-	col := b.cols[bestFeat]
 	for _, i := range idx {
-		if col[i] <= bestBin {
+		if b.rows[i*nf+bestFeat] <= bestBin {
 			c.left = append(c.left, i)
 		} else {
 			c.right = append(c.right, i)
@@ -297,40 +317,41 @@ func (b *treeBuilder) bestSplit(nodeIdx int32, idx []int, r []float64) (splitCan
 	return c, true
 }
 
-// predictBinned walks the tree for pre-binned sample i.
-func (t *tree) predictBinned(cols [][]uint8, i int) float64 {
-	n := int32(0)
+// walk returns the value of the leaf that the binned feature vector bins
+// reaches. Training and Predict both use it, so they cannot disagree.
+func (t *tree) walk(bins []uint8) float64 {
+	nodes := t.Nodes
+	i := 0
 	for {
-		nd := &t.Nodes[n]
-		if nd.Feature == -1 {
+		nd := &nodes[i]
+		if nd.Feature < 0 {
 			return nd.Value
 		}
-		if cols[nd.Feature][i] <= nd.Bin {
-			n = nd.Left
+		if bins[nd.Feature] <= nd.Bin {
+			i = int(nd.Left)
 		} else {
-			n = nd.Right
+			i = int(nd.Right)
 		}
 	}
 }
 
-// Predict returns the ensemble prediction for a raw feature vector.
+// Predict returns the ensemble prediction for a raw feature vector. It bins
+// each feature once, then walks every tree over the bins, summing leaf
+// values in tree order.
 func (m *Model) Predict(x []float64) float64 {
+	// The bins live on the stack for up to 16 features; the production
+	// model has 11.
+	var buf [16]uint8
+	var bins []uint8
+	if m.NumFeat <= len(buf) {
+		bins = buf[:m.NumFeat]
+	} else {
+		bins = make([]uint8, m.NumFeat)
+	}
+	m.binRow(bins, x)
 	out := m.Bias
 	for ti := range m.Trees {
-		t := &m.Trees[ti]
-		n := int32(0)
-		for {
-			nd := &t.Nodes[n]
-			if nd.Feature == -1 {
-				out += nd.Value
-				break
-			}
-			if binValue(m.Edges[nd.Feature], x[nd.Feature]) <= nd.Bin {
-				n = nd.Left
-			} else {
-				n = nd.Right
-			}
-		}
+		out += m.Trees[ti].walk(bins)
 	}
 	return out
 }
@@ -368,8 +389,43 @@ func Load(r io.Reader) (*Model, error) {
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("gbdt: load: %w", err)
 	}
-	if m.NumFeat <= 0 || len(m.Edges) != m.NumFeat {
-		return nil, errors.New("gbdt: load: malformed model")
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("gbdt: load: %w", err)
 	}
 	return &m, nil
+}
+
+// Validate checks the invariants Predict relies on to end without
+// panicking: every feature has at most 255 edges (bins fit a uint8), every
+// tree is non-empty, every node's Feature is -1 (leaf) or a valid column,
+// and every internal node's children lie in the tree at higher indices
+// than the node, so each walk moves strictly forward and terminates.
+func (m *Model) Validate() error {
+	if m.NumFeat <= 0 || len(m.Edges) != m.NumFeat {
+		return errors.New("malformed model")
+	}
+	for f, es := range m.Edges {
+		if len(es) > 255 {
+			return fmt.Errorf("feature %d has %d bin edges, max 255", f, len(es))
+		}
+	}
+	for ti, t := range m.Trees {
+		if len(t.Nodes) == 0 {
+			return fmt.Errorf("tree %d is empty", ti)
+		}
+		for i, nd := range t.Nodes {
+			if nd.Feature < -1 || int(nd.Feature) >= m.NumFeat {
+				return fmt.Errorf("tree %d node %d: feature %d out of range", ti, i, nd.Feature)
+			}
+			if nd.Feature == -1 {
+				continue
+			}
+			for _, c := range [2]int16{nd.Left, nd.Right} {
+				if int(c) <= i || int(c) >= len(t.Nodes) {
+					return fmt.Errorf("tree %d node %d: child %d out of range (%d, %d)", ti, i, c, i, len(t.Nodes))
+				}
+			}
+		}
+	}
+	return nil
 }

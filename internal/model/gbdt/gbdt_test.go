@@ -2,9 +2,12 @@ package gbdt
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // synth builds a regression problem with known structure: y depends on
@@ -22,6 +25,199 @@ func synth(n int, seed int64) ([][]float64, []float64) {
 		}
 	}
 	return X, y
+}
+
+// encoderLevels is how many distinct values each column of the
+// production feature vector takes: five target-encoded categories, three
+// booleans, CPU, memory, and a near-continuous uptime.
+var encoderLevels = [11]int{3, 14, 8, 64, 4, 2, 2, 2, 6, 7, 256}
+
+// synthWide builds a regression problem shaped like the production model's
+// input: 11 columns in [0, 1) with encoderLevels distinct values each,
+// skewed toward low levels as category frequencies are, and a target
+// driven mostly by the high-cardinality category and the uptime. With 6000
+// rows, its 400-tree model walks 3.4 nodes per tree on average, as the
+// production model on a 64-host trace does (3.5).
+func synthWide(n int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		row := make([]float64, len(encoderLevels))
+		for f, l := range encoderLevels {
+			u := rng.Float64()
+			row[f] = math.Floor(float64(l)*u*u*u) / float64(l)
+		}
+		X[i] = row
+		y[i] = 2*row[3] + row[10] + 0.5*row[1] - 0.3*row[8]*row[9] + 0.2*row[5] + 0.1*rng.NormFloat64()
+	}
+	return X, y
+}
+
+// productionShaped trains a model the size of the one lava.TrainModel
+// builds: 11 features (features.NumColumns) and 400 trees.
+func productionShaped(tb testing.TB) *Model {
+	tb.Helper()
+	X, y := synthWide(6000, 9)
+	m, err := Train(X, y, Params{Trees: 400})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// perNodePredict is the reference kernel: it walks every tree over the raw
+// vector and bins the node's feature again at each internal node. Predict
+// must agree with it bit for bit.
+func perNodePredict(m *Model, x []float64) float64 {
+	out := m.Bias
+	for _, t := range m.Trees {
+		n := 0
+		for {
+			nd := t.Nodes[n]
+			if nd.Feature == -1 {
+				out += nd.Value
+				break
+			}
+			if binValue(m.Edges[nd.Feature], x[nd.Feature]) <= nd.Bin {
+				n = int(nd.Left)
+			} else {
+				n = int(nd.Right)
+			}
+		}
+	}
+	return out
+}
+
+func TestPredictMatchesPerNodeWalk(t *testing.T) {
+	m := productionShaped(t)
+	if m.NumFeat != 11 || m.NumTrees() != 400 {
+		t.Fatalf("model has %d features, %d trees", m.NumFeat, m.NumTrees())
+	}
+	rng := rand.New(rand.NewSource(10))
+	// Special values per feature: every bin edge exactly, its neighbours,
+	// values below the first and above the last edge, ±Inf and NaN.
+	special := make([][]float64, m.NumFeat)
+	for f, es := range m.Edges {
+		vs := []float64{math.Inf(-1), math.Inf(1), math.NaN(), -1e300, 1e300}
+		if len(es) > 0 {
+			vs = append(vs, es[0]-1, es[len(es)-1]+1)
+		}
+		for _, e := range es {
+			vs = append(vs, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+		}
+		special[f] = vs
+	}
+	check := func(x []float64) {
+		t.Helper()
+		got, want := m.Predict(x), perNodePredict(m, x)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Predict(%v) = %v, per-node walk = %v", x, got, want)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		x := make([]float64, m.NumFeat)
+		for f := range x {
+			x[f] = rng.Float64()*1.2 - 0.1
+		}
+		check(x)
+	}
+	for f, vs := range special {
+		for _, v := range vs {
+			for k := 0; k < 8; k++ {
+				x := make([]float64, m.NumFeat)
+				for g, sp := range special {
+					x[g] = sp[rng.Intn(len(sp))]
+				}
+				x[f] = v
+				check(x)
+			}
+		}
+	}
+}
+
+func TestNodeIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 16 {
+		t.Fatalf("node is %d bytes, want 16", got)
+	}
+}
+
+// TestSaveFormatPinned pins the model file format: field names, their
+// order and number formatting must not change, or saved models stop
+// loading elsewhere.
+func TestSaveFormatPinned(t *testing.T) {
+	m := &Model{
+		Bias: 0.5,
+		Trees: []tree{{Nodes: []node{
+			{Feature: 1, Bin: 2, Left: 1, Right: 2},
+			{Feature: -1, Left: -1, Right: -1, Value: -0.25},
+			{Feature: -1, Left: -1, Right: -1, Value: 0.75},
+		}}},
+		Edges:    [][]float64{{1}, {1, 2, 3.5}},
+		Gain:     []float64{0, 4.5},
+		NumFeat:  2,
+		TrainedN: 40,
+	}
+	const want = `{"bias":0.5,"trees":[{"nodes":[` +
+		`{"f":1,"b":2,"l":1,"r":2,"v":0},` +
+		`{"f":-1,"b":0,"l":-1,"r":-1,"v":-0.25},` +
+		`{"f":-1,"b":0,"l":-1,"r":-1,"v":0.75}]}],` +
+		`"edges":[[1],[1,2,3.5]],"gain":[0,4.5],"num_features":2,"trained_examples":40}` + "\n"
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Fatalf("Save =\n%s\nwant\n%s", buf.String(), want)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := got.Predict([]float64{0, 2}); p != 0.25 {
+		t.Fatalf("Predict after load = %v, want 0.25", p)
+	}
+}
+
+func TestLoadRejectsMalformedTrees(t *testing.T) {
+	const leaf = `{"f":-1,"l":-1,"r":-1,"v":1}`
+	model := func(nodes string) string {
+		return `{"bias":0,"trees":[{"nodes":[` + nodes + `]}],"edges":[[0.5],[0.5]],"gain":[0,0],"num_features":2}`
+	}
+	if _, err := Load(strings.NewReader(model(`{"f":0,"b":0,"l":1,"r":2},` + leaf + "," + leaf))); err != nil {
+		t.Fatalf("well-formed model rejected: %v", err)
+	}
+	manyEdges := make([]string, 256)
+	for i := range manyEdges {
+		manyEdges[i] = fmt.Sprint(i)
+	}
+	cases := map[string]string{
+		"child points back to ancestor": model(`{"f":0,"b":0,"l":1,"r":2},{"f":1,"b":0,"l":0,"r":2},` + leaf),
+		"child points to itself":        model(`{"f":0,"b":0,"l":0,"r":1},` + leaf),
+		"child past the last node":      model(`{"f":0,"b":0,"l":1,"r":3},` + leaf + "," + leaf),
+		"negative child":                model(`{"f":0,"b":0,"l":-1,"r":1},` + leaf),
+		"feature >= num_features":       model(`{"f":2,"b":0,"l":1,"r":2},` + leaf + "," + leaf),
+		"feature < -1":                  model(`{"f":-2,"b":0,"l":1,"r":2},` + leaf + "," + leaf),
+		"feature overflows int16":       model(`{"f":40000,"b":0,"l":1,"r":2},` + leaf + "," + leaf),
+		"empty tree":                    model(``),
+		"more than 255 edges": `{"bias":0,"trees":[],"edges":[[` + strings.Join(manyEdges, ",") +
+			`]],"gain":[0],"num_features":1}`,
+	}
+	for name, doc := range cases {
+		if _, err := Load(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: Load accepted the model", name)
+		}
+	}
+}
+
+func TestTrainRejectsTooManyLeaves(t *testing.T) {
+	X, y := synth(100, 11)
+	if _, err := Train(X, y, Params{Trees: 1, MaxLeaves: MaxLeaves + 1}); err == nil {
+		t.Fatalf("MaxLeaves %d must fail", MaxLeaves+1)
+	}
+	if _, err := Train(X, y, Params{Trees: 1, MaxLeaves: MaxLeaves}); err != nil {
+		t.Fatalf("MaxLeaves %d: %v", MaxLeaves, err)
+	}
 }
 
 func mse(m *Model, X [][]float64, y []float64) float64 {
@@ -202,15 +398,13 @@ func TestBinValue(t *testing.T) {
 	}
 }
 
+// BenchmarkPredict times one prediction of a production-shaped model (11
+// features, 400 trees), cycling over probes so no single path stays hot.
 func BenchmarkPredict(b *testing.B) {
-	X, y := synth(5000, 8)
-	m, err := Train(X, y, Params{Trees: 200})
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := []float64{0.4, 0.6, 0.2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(probe)
+	m := productionShaped(b)
+	probes, _ := synthWide(256, 12)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		m.Predict(probes[i%len(probes)])
 	}
 }

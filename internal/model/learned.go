@@ -60,7 +60,8 @@ func TrainGBDT(records []trace.Record, p gbdt.Params) (*GBDTPredictor, error) {
 	X := make([][]float64, len(exs))
 	y := make([]float64, len(exs))
 	for i, ex := range exs {
-		X[i] = enc.Encode(ex.F, ex.UptimeLog10)
+		x := enc.Encode(ex.F, ex.UptimeLog10)
+		X[i] = x[:]
 		y[i] = ex.Log10Hours
 	}
 	m, err := gbdt.Train(X, y, p)
@@ -76,7 +77,7 @@ func (g *GBDTPredictor) Name() string { return "gbdt" }
 // PredictRemaining implements Predictor.
 func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
 	x := g.Enc.Encode(vm.Feat, uptimeLog10(uptime))
-	logh := g.M.Predict(x)
+	logh := g.M.Predict(x[:])
 	return clampRemaining(simtime.FromHours(math.Pow(10, logh)))
 }
 
@@ -99,7 +100,8 @@ func TrainMLP(records []trace.Record, p mlp.Params) (*MLPPredictor, error) {
 	X := make([][]float64, len(exs))
 	y := make([]float64, len(exs))
 	for i, ex := range exs {
-		X[i] = enc.Encode(ex.F, ex.UptimeLog10)
+		x := enc.Encode(ex.F, ex.UptimeLog10)
+		X[i] = x[:]
 		y[i] = ex.Log10Hours
 	}
 	m, err := mlp.Train(X, y, p)
@@ -115,7 +117,7 @@ func (m *MLPPredictor) Name() string { return "mlp" }
 // PredictRemaining implements Predictor.
 func (m *MLPPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
 	x := m.Enc.Encode(vm.Feat, uptimeLog10(uptime))
-	logh := m.M.Predict(x)
+	logh := m.M.Predict(x[:])
 	return clampRemaining(simtime.FromHours(math.Pow(10, logh)))
 }
 
@@ -182,8 +184,9 @@ func TrainCox(records []trace.Record, opt cox.Options) (*CoxPredictor, error) {
 	enc := features.Fit(exs)
 	subjects := make([]cox.Subject, len(records))
 	for i, r := range records {
+		x := enc.Encode(r.Feat, ZeroUptimeLog10)
 		subjects[i] = cox.Subject{
-			X:        enc.Encode(r.Feat, ZeroUptimeLog10),
+			X:        x[:],
 			Duration: r.Lifetime,
 			Event:    true,
 		}
@@ -201,7 +204,7 @@ func (c *CoxPredictor) Name() string { return "linear-cox" }
 // PredictRemaining implements Predictor.
 func (c *CoxPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
 	x := c.Enc.Encode(vm.Feat, ZeroUptimeLog10)
-	rem := c.M.ExpRemaining(x, uptime)
+	rem := c.M.ExpRemaining(x[:], uptime)
 	if rem <= 0 {
 		return MinRemaining(uptime)
 	}
@@ -227,6 +230,9 @@ func LoadGBDT(r io.Reader) (*GBDTPredictor, error) {
 	}
 	if b.Encoder == nil || b.Model == nil || b.Model.NumFeat != features.NumColumns {
 		return nil, fmt.Errorf("model: load gbdt: malformed bundle")
+	}
+	if err := b.Model.Validate(); err != nil {
+		return nil, fmt.Errorf("model: load gbdt: %w", err)
 	}
 	return &GBDTPredictor{Enc: b.Encoder, M: b.Model}, nil
 }

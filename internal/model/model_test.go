@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,13 +15,17 @@ import (
 )
 
 func testTrace(t *testing.T, days int, seed int64) *trace.Trace {
-	t.Helper()
+	return poolTrace(t, 24, days, seed)
+}
+
+func poolTrace(tb testing.TB, hosts, days int, seed int64) *trace.Trace {
+	tb.Helper()
 	tr, err := workload.Generate(workload.PoolSpec{
-		Name: "model-test", Zone: "z1", Hosts: 24, TargetUtil: 0.6,
+		Name: "model-test", Zone: "z1", Hosts: hosts, TargetUtil: 0.6,
 		Duration: time.Duration(days) * simtime.Day, Seed: seed,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tr
 }
@@ -280,5 +285,65 @@ func TestGBDTBundleRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadGBDT(bytes.NewBufferString("{}")); err == nil {
 		t.Fatal("empty bundle must fail to load")
+	}
+}
+
+func TestLoadGBDTRejectsCyclicTree(t *testing.T) {
+	tr := testTrace(t, 2, 21)
+	g, err := TrainGBDT(tr.Records, gbdt.Params{Trees: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The first tree's root splits into nodes 1 and 2; pointing its left
+	// child back at itself would make every prediction loop forever.
+	const root = `"l":1,"r":2`
+	doc := buf.String()
+	if !strings.Contains(doc, root) {
+		t.Fatalf("saved bundle has no root split %s", root)
+	}
+	cyclic := strings.Replace(doc, root, `"l":0,"r":2`, 1)
+	if _, err := LoadGBDT(strings.NewReader(cyclic)); err == nil {
+		t.Fatal("bundle with a cyclic tree must fail to load")
+	}
+}
+
+func TestGBDTPredictRemainingDoesNotAllocate(t *testing.T) {
+	tr := testTrace(t, 2, 21)
+	g, err := TrainGBDT(tr.Records, gbdt.Params{Trees: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := vmFromRecord(tr.Records[0])
+	allocs := testing.AllocsPerRun(100, func() {
+		g.PredictRemaining(vm, time.Hour)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per GBDT PredictRemaining, want 0", allocs)
+	}
+}
+
+// BenchmarkGBDTPredictRemaining times one reprediction of the production
+// model: 400 trees trained on a 64-host trace, cycling over its VMs and a
+// spread of uptimes.
+func BenchmarkGBDTPredictRemaining(b *testing.B) {
+	tr := poolTrace(b, 64, 7, 31)
+	g, err := TrainGBDT(tr.Records, gbdt.Params{Trees: 400})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vms := make([]*cluster.VM, 0, 512)
+	for _, r := range tr.Records {
+		if len(vms) == cap(vms) {
+			break
+		}
+		vms = append(vms, vmFromRecord(r))
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		g.PredictRemaining(vms[i%len(vms)], time.Duration(i%8)*time.Hour)
 	}
 }
