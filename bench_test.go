@@ -183,6 +183,45 @@ func BenchmarkFig14SimulatorThroughput(b *testing.B) {
 	b.ReportMetric(events, "events/op")
 }
 
+// evalCounter counts the GBDT's evaluations. Embedding the predictor
+// forwards its UptimeKey, so the exit cache's reprediction reuse stays on.
+type evalCounter struct {
+	*model.GBDTPredictor
+	evals int64
+}
+
+func (c *evalCounter) PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration {
+	c.evals++
+	return c.GBDTPredictor.PredictRemaining(vm, uptime)
+}
+
+// BenchmarkLAVAGBDTPlacement replays one 64-host trace under LAVA over the
+// production-size GBDT (400 trees), the path where repredicting every VM on
+// a candidate host dominates. One op is one replay. model-evals/op counts
+// the model runs the exit cache could not answer from a VM's previous
+// reprediction; it is deterministic, so hiding UptimeKey behind a wrapper
+// or breaking the reuse moves it several-fold.
+func BenchmarkLAVAGBDTPlacement(b *testing.B) {
+	tr, err := GenerateTrace(TraceConfig{Name: "gbdt-bench", Hosts: 64, Days: 3, PrefillDays: 3, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := model.TrainGBDT(tr.Records, gbdt.Params{Trees: 400})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred := &evalCounter{GBDTPredictor: g}
+	b.ReportAllocs()
+	n := 0
+	for b.Loop() {
+		if _, err := sim.Run(sim.Config{Trace: tr, Policy: scheduler.NewLAVA(pred, time.Minute)}); err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
+	b.ReportMetric(float64(pred.evals)/float64(n), "model-evals/op")
+}
+
 // BenchmarkTraceOverhead prices decision tracing on the Fig. 6 fixture
 // under LAVA, the heaviest scheduling path: "off" is the untraced baseline
 // (the hot path must be unaffected — it stays inside the gated

@@ -8,7 +8,6 @@
 //
 //	lavad -trace trace.jsonl                         # LAVA + dist model on :8080
 //	lavad -trace trace.jsonl -policy nilas -model gbdt -addr 127.0.0.1:9000
-//	lavad -trace trace.jsonl -model oracle           # memo auto-disabled
 //	lavad -trace trace.jsonl -cells 4 -router feature-hash   # federated fleet
 //	lavad -trace trace.jsonl -trace-k 3                      # decision tracing on /trace
 //	lavad -trace trace.jsonl -trace-k 8 -trace-out dec.jsonl # + persistent JSONL stream
@@ -67,7 +66,6 @@ func main() {
 		modelKind = flag.String("model", "dist", "oracle | gbdt | km | dist (lifetime model for lifetime-aware policies)")
 		trees     = flag.Int("trees", 400, "GBDT trees when training in-process")
 		refresh   = flag.Duration("cache", time.Minute, "host score cache refresh interval (0 disables)")
-		memo      = flag.Bool("memo", true, "memoize predictions on (features, uptime); forced off for -model oracle")
 		tick      = flag.Duration("tick", 0, "policy tick period (default 5m)")
 		sample    = flag.Duration("sample", 0, "metric sampling period (default 1h)")
 		queue     = flag.Int("queue", 0, "admission queue depth (default 256)")
@@ -102,10 +100,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The oracle predicts from VM identity, which a (features, uptime) memo
-	// key cannot capture.
-	useMemo := *memo && *modelKind != "oracle"
-
 	// The -cache flag uses 0 for "disabled"; the facade's zero value means
 	// "default", so map explicitly.
 	cacheRefresh := *refresh
@@ -119,7 +113,6 @@ func main() {
 	sc := lava.ServeConfig{
 		Policy:       lava.PolicyKind(*policy),
 		Pred:         pred,
-		Memo:         useMemo,
 		CacheRefresh: cacheRefresh,
 		TickEvery:    *tick,
 		SampleEvery:  *sample,
@@ -149,8 +142,8 @@ func main() {
 		if what == "" {
 			what = "steady"
 		}
-		fmt.Fprintf(os.Stderr, "lavad: pool %s (%d hosts, %d cells via %s), policy %s, model %s (memo %v), scenario %s, horizon %v\n",
-			tr.PoolName, tr.Hosts, *cells, *router, *policy, pred.Name(), useMemo, what, tr.End())
+		fmt.Fprintf(os.Stderr, "lavad: pool %s (%d hosts, %d cells via %s), policy %s, model %s, scenario %s, horizon %v\n",
+			tr.PoolName, tr.Hosts, *cells, *router, *policy, pred.Name(), what, tr.End())
 		fmt.Fprintf(os.Stderr, "lavad: listening on http://%s\n", *addr)
 		err = lava.ServeFleet(ctx, *addr, tr, lava.FleetConfig{
 			ServeConfig:  sc,
@@ -160,8 +153,8 @@ func main() {
 			ScenarioSeed: *scenSeed,
 		})
 	} else {
-		fmt.Fprintf(os.Stderr, "lavad: pool %s (%d hosts), policy %s, model %s (memo %v), horizon %v\n",
-			tr.PoolName, tr.Hosts, *policy, pred.Name(), useMemo, tr.End())
+		fmt.Fprintf(os.Stderr, "lavad: pool %s (%d hosts), policy %s, model %s, horizon %v\n",
+			tr.PoolName, tr.Hosts, *policy, pred.Name(), tr.End())
 		fmt.Fprintf(os.Stderr, "lavad: listening on http://%s\n", *addr)
 		err = lava.Serve(ctx, *addr, tr, sc)
 	}

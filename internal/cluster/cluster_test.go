@@ -330,3 +330,31 @@ func TestPoolInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendVMsKeepsPrefixAndSorts: AppendVMs leaves dst's existing
+// elements alone, appends the host's VMs in ID order, and reuses dst's
+// capacity without allocating.
+func TestAppendVMsKeepsPrefixAndSorts(t *testing.T) {
+	p := NewPool("test", 1, resources.Cores(32, 131072, 0))
+	h := p.Host(0)
+	for _, id := range []VMID{7, 3, 11, 5, 1} {
+		if err := p.Place(newVM(id, 2), h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sentinel := newVM(99, 1)
+	buf := make([]*VM, 1, 8)
+	buf[0] = sentinel
+	got := h.AppendVMs(buf)
+	if len(got) != 6 || got[0] != sentinel {
+		t.Fatalf("prefix not kept: %v", got)
+	}
+	for i, want := range []VMID{1, 3, 5, 7, 11} {
+		if got[i+1].ID != want {
+			t.Fatalf("appended VM %d has ID %d, want %d", i, got[i+1].ID, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { buf = h.AppendVMs(buf[:0]) }); allocs != 0 {
+		t.Fatalf("%v allocs per AppendVMs into a large enough buffer, want 0", allocs)
+	}
+}

@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"lava/internal/resources"
@@ -96,12 +97,19 @@ func (h *Host) VM(id VMID) *VM { return h.vms[id] }
 // VMs returns the hosted VMs sorted by ID. Sorting keeps every consumer
 // deterministic; no scheduling decision may depend on map iteration order.
 func (h *Host) VMs() []*VM {
-	out := make([]*VM, 0, len(h.vms))
+	return h.AppendVMs(make([]*VM, 0, len(h.vms)))
+}
+
+// AppendVMs appends the hosted VMs to dst in ID order and returns the
+// extended slice. It allocates only when dst lacks capacity, so hot paths
+// can rescan a host into a reused buffer.
+func (h *Host) AppendVMs(dst []*VM) []*VM {
+	n := len(dst)
 	for _, vm := range h.vms {
-		out = append(out, vm)
+		dst = append(dst, vm)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(dst[n:], func(a, b *VM) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // add places vm on the host. It returns an error when the shape does not

@@ -33,6 +33,10 @@ var FieldNames = []string{
 // NumColumns is the width of an encoded feature vector (including uptime).
 const NumColumns = 11
 
+// UptimeColumn is the index of the uptime column, the only one that
+// changes over a VM's life.
+const UptimeColumn = NumColumns - 1
+
 // MinCategoryCount is the rare-category collapse threshold from Appendix A:
 // categories with fewer than 10 training examples become "Other".
 const MinCategoryCount = 10
@@ -105,7 +109,7 @@ func (e *Encoder) Encode(f Features, uptimeLog10 float64) [NumColumns]float64 {
 	out[7] = b2f(f.AdmissionPolicy)
 	out[8] = float64(f.CPUMilli) / 1000.0
 	out[9] = float64(f.MemoryMB) / 1024.0
-	out[10] = uptimeLog10
+	out[UptimeColumn] = uptimeLog10
 	return out
 }
 

@@ -168,6 +168,11 @@ func binValue(edges []float64, x float64) uint8 {
 	return uint8(i)
 }
 
+// Bin returns the bin Predict maps value x of feature f to. Every tree
+// reads only bins, so two vectors that differ in one feature predict the
+// same whenever that feature's values share a bin.
+func (m *Model) Bin(f int, x float64) int { return int(binValue(m.Edges[f], x)) }
+
 // binRow bins the raw feature vector x into bins, one entry per feature.
 func (m *Model) binRow(bins []uint8, x []float64) {
 	for f := range bins {

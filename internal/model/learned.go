@@ -81,6 +81,13 @@ func (g *GBDTPredictor) PredictRemaining(vm *cluster.VM, uptime time.Duration) t
 	return clampRemaining(simtime.FromHours(math.Pow(10, logh)))
 }
 
+// UptimeKey implements UptimeKeyer: the uptime column's bin. The other
+// columns are fixed for a VM, so equal bins reach the same leaves in every
+// tree.
+func (g *GBDTPredictor) UptimeKey(uptime time.Duration) int64 {
+	return int64(g.M.Bin(features.UptimeColumn, uptimeLog10(uptime)))
+}
+
 // --- MLP ----------------------------------------------------------------
 
 // MLPPredictor is the neural-network regression baseline of Table 4.

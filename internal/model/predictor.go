@@ -23,6 +23,31 @@ type Predictor interface {
 	PredictRemaining(vm *cluster.VM, uptime time.Duration) time.Duration
 }
 
+// UptimeKeyer is an optional Predictor extension that lets callers reuse a
+// VM's last reprediction instead of running the model again. Its contract:
+// for every VM, two uptimes with equal keys give bit-identical
+// PredictRemaining results. A model whose output changes with uptime only
+// at discrete points (the GBDT's uptime bin edges) returns the index of the
+// interval the uptime falls in.
+//
+// For a predictor without it, callers key on the uptime in nanoseconds,
+// which is exact by the determinism contract above. Wrappers whose output
+// is not a function of (VM, uptime-key) alone must not forward it: a
+// scenario model swap changes models at a wall-clock boundary inside one
+// uptime bin.
+type UptimeKeyer interface {
+	UptimeKey(uptime time.Duration) int64
+}
+
+// UptimeKeyOf returns p's key for uptime: its UptimeKey when p implements
+// UptimeKeyer, the uptime in nanoseconds otherwise.
+func UptimeKeyOf(p Predictor, uptime time.Duration) int64 {
+	if k, ok := p.(UptimeKeyer); ok {
+		return k.UptimeKey(uptime)
+	}
+	return int64(uptime)
+}
+
 // MinRemaining is the floor applied to remaining-lifetime predictions. A
 // model that believes a VM should already be gone cannot return zero
 // forever: the fallback grows with uptime (10% of it) so host exit

@@ -108,7 +108,7 @@ func (l *LAVA) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) (
 // OnPlaced implements Policy: drive the host state machine.
 func (l *LAVA) OnPlaced(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
 	if vm.InitialPrediction == 0 {
-		vm.InitialPrediction = l.cache.Pred.PredictRemaining(vm, 0)
+		vm.InitialPrediction = l.cache.InitialPrediction(vm, now)
 	}
 	l.cache.Invalidate(h.ID)
 	if l.et != nil {

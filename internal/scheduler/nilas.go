@@ -117,7 +117,7 @@ func (n *NILAS) Schedule(pool *cluster.Pool, vm *cluster.VM, now time.Duration) 
 // initial prediction for diagnostics.
 func (n *NILAS) OnPlaced(_ *cluster.Pool, h *cluster.Host, vm *cluster.VM, now time.Duration) {
 	if vm.InitialPrediction == 0 {
-		vm.InitialPrediction = n.cache.Pred.PredictRemaining(vm, 0)
+		vm.InitialPrediction = n.cache.InitialPrediction(vm, now)
 	}
 	n.cache.Invalidate(h.ID)
 	if n.et != nil {

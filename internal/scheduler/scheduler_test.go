@@ -301,6 +301,121 @@ func TestExitCacheMemoizesVM(t *testing.T) {
 	}
 }
 
+// TestInitialPredictionReadsScheduleMemo: OnPlaced records the uptime-0
+// prediction Schedule just made instead of running the model again, and
+// neither path changes ModelCalls.
+func TestInitialPredictionReadsScheduleMemo(t *testing.T) {
+	for name, mk := range map[string]func(model.Predictor) Policy{
+		"lava":  func(p model.Predictor) Policy { return NewLAVA(p, time.Minute) },
+		"nilas": func(p model.Predictor) Policy { return NewNILAS(p, time.Minute) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := pool(2)
+			calls := 0
+			pol := mk(countingPredictor{calls: &calls, rem: 3 * time.Hour})
+			now := time.Hour
+			vm := newVM(1, 4, now, 3*time.Hour)
+			h, err := pol.Schedule(p, vm, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Place(vm, h); err != nil {
+				t.Fatal(err)
+			}
+			before, modelCalls := calls, pol.(interface{ ModelCalls() int64 }).ModelCalls()
+			pol.OnPlaced(p, h, vm, now)
+			if vm.InitialPrediction != 3*time.Hour || calls != before {
+				t.Fatalf("initial prediction %v after %d extra model runs, want 3h after 0", vm.InitialPrediction, calls-before)
+			}
+			// A VM placed without a scheduling pass gets a fresh prediction.
+			other := place(t, p, pol, 2, 4, now, time.Hour, h)
+			if other.InitialPrediction != 3*time.Hour || calls != before+1 {
+				t.Fatalf("unscheduled VM: initial prediction %v after %d model runs, want 3h after 1", other.InitialPrediction, calls-before)
+			}
+			if got := pol.(interface{ ModelCalls() int64 }).ModelCalls(); got != modelCalls {
+				t.Fatalf("OnPlaced changed ModelCalls %d -> %d", modelCalls, got)
+			}
+		})
+	}
+}
+
+// keyedLifetime predicts the VM's true lifetime at every uptime and says
+// so through UptimeKey: one key for all uptimes.
+type keyedLifetime struct{ calls *int }
+
+func (keyedLifetime) Name() string { return "keyed-lifetime" }
+func (k keyedLifetime) PredictRemaining(vm *cluster.VM, _ time.Duration) time.Duration {
+	*k.calls++
+	return vm.TrueLifetime
+}
+func (keyedLifetime) UptimeKey(time.Duration) int64 { return 0 }
+
+func TestExitCacheReusesRepredictions(t *testing.T) {
+	p := pool(1)
+	calls := 0
+	c := NewExitCache(keyedLifetime{calls: &calls}, 0)
+	h := p.Host(0)
+	place(t, p, nil, 1, 4, 0, 5*time.Hour, h)
+	place(t, p, nil, 2, 4, 0, 7*time.Hour, h)
+	for now := time.Duration(0); now < 3*time.Hour; now += time.Hour {
+		if got, want := c.HostExit(h, now), now+7*time.Hour; got != want {
+			t.Fatalf("host exit at %v = %v, want %v", now, got, want)
+		}
+	}
+	if calls != 2 || c.Predictions != 6 {
+		t.Fatalf("%d model runs for %d requested repredictions, want 2 for 6", calls, c.Predictions)
+	}
+}
+
+// TestExitCacheChurnDoesNotReuseExitedVM: a host that empties and refills,
+// even with a VM reusing an exited VM's ID, never serves the exited VM's
+// reprediction.
+func TestExitCacheChurnDoesNotReuseExitedVM(t *testing.T) {
+	p := pool(1)
+	calls := 0
+	c := NewExitCache(keyedLifetime{calls: &calls}, time.Minute)
+	h := p.Host(0)
+	place(t, p, nil, 1, 4, 0, 5*time.Hour, h)
+	if got := c.HostExit(h, 0); got != 5*time.Hour {
+		t.Fatalf("host exit = %v, want 5h", got)
+	}
+	for i, life := range []time.Duration{9 * time.Hour, 2 * time.Hour} {
+		now := time.Duration(i+1) * time.Hour
+		if _, _, err := p.Exit(1); err != nil {
+			t.Fatal(err)
+		}
+		c.Invalidate(h.ID)
+		place(t, p, nil, 1, 4, now, life, h) // same ID, different VM
+		c.Invalidate(h.ID)
+		if got, want := c.HostExit(h, now), now+life; got != want {
+			t.Fatalf("refill %d: host exit = %v, want %v (exited VM's entry reused)", i, got, want)
+		}
+	}
+	if calls != 3 {
+		t.Fatalf("%d model runs, want one per distinct VM (3)", calls)
+	}
+}
+
+// TestExitCacheRecomputeDoesNotAllocate: once its buffers are warm, a host
+// re-score allocates nothing, model runs included.
+func TestExitCacheRecomputeDoesNotAllocate(t *testing.T) {
+	p := pool(1)
+	c := NewExitCache(model.Oracle{}, 0)
+	h := p.Host(0)
+	for id := cluster.VMID(1); id <= 6; id++ {
+		place(t, p, nil, id, 2, 0, time.Duration(id)*time.Hour, h)
+	}
+	now := time.Duration(0)
+	c.HostExit(h, now)
+	allocs := testing.AllocsPerRun(100, func() {
+		now += time.Second // a new uptime: every VM is repredicted
+		c.HostExit(h, now)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per host re-score, want 0", allocs)
+	}
+}
+
 // --- LAVA ------------------------------------------------------------------------
 
 func TestLAVAOpensEmptyHostWithClass(t *testing.T) {

@@ -31,16 +31,6 @@
 // makes exactly the same placement decisions as `lava.Simulate` on that
 // trace.
 //
-// # Prediction memo-cache
-//
-// MemoPredictor wraps a model.Predictor with a (features, uptime) →
-// prediction memo table. Learned model families (gbdt, km, dist, mlp, cox)
-// are pure functions of those two inputs, so memoization is semantically
-// invisible — the parity test runs with the cache enabled to prove it —
-// while collapsing the repeated admission-time predictions of identical
-// VM shapes that dominate serving traffic. Identity-dependent predictors
-// (Oracle, NoisyOracle) must not be memoized.
-//
 // # Drain and snapshot semantics
 //
 // /snapshot reads the pool's current bin-packing metrics without advancing

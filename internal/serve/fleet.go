@@ -68,11 +68,6 @@ type FleetConfig struct {
 	// their new index. Nil means no injectors.
 	Injectors func(cellIdx int) []sim.Injector
 
-	// Memo is the prediction cache shared by all cells' policies, if the
-	// caller memoized the predictor. One table serves the whole fleet: the
-	// key space is (features, uptime), which no cell split changes.
-	Memo *MemoPredictor
-
 	// TraceK and TraceCap are the per-cell serve.Config tracing settings:
 	// each cell records its own decision stream (there is no useful global
 	// interleaving — cells are independent event loops), queryable via
@@ -215,7 +210,6 @@ func newCellServer(cfg FleetConfig, idx, hosts int) (*Server, error) {
 		SampleEvery: cfg.SampleEvery,
 		Injectors:   inj,
 		QueueDepth:  cfg.QueueDepth,
-		Memo:        cfg.Memo,
 		TraceK:      cfg.TraceK,
 		TraceCap:    cfg.TraceCap,
 		SLO:         cellSLO(cfg),
@@ -523,8 +517,7 @@ type FleetStats struct {
 	// Retired lists cells merged away by elasticity ops: still visible in
 	// CellStats (their counters are real history) but excluded from the
 	// Hosts/VMs/NowNS totals — their capacity moved to the surviving cell.
-	Retired []int      `json:"retired_cells,omitempty"`
-	Memo    *MemoStats `json:"memo,omitempty"`
+	Retired []int `json:"retired_cells,omitempty"`
 	// SLO merges the front-door gate's admission counters with the cells'
 	// per-class lifecycle counts (omitted when the SLO layer is off).
 	SLO       *slo.Summary `json:"slo,omitempty"`
@@ -582,15 +575,6 @@ func (f *Fleet) Stats() (FleetStats, error) {
 			subs = append(subs, cs.SLO)
 		}
 		st.SLO = slo.MergeFrontDoor(gateCounts, subs, 0, 0, false)
-	}
-	if f.cfg.Memo != nil {
-		// The memo table is fleet-wide; the per-cell stats each carry the
-		// same shared counters, so report it once at the top level only.
-		ms := f.cfg.Memo.Stats()
-		st.Memo = &ms
-		for c := range st.CellStats {
-			st.CellStats[c].Memo = nil
-		}
 	}
 	return st, nil
 }

@@ -13,6 +13,7 @@ import (
 	"lava/internal/cell"
 	"lava/internal/cluster"
 	"lava/internal/model"
+	"lava/internal/model/gbdt"
 	"lava/internal/resources"
 	"lava/internal/runner"
 	"lava/internal/scheduler"
@@ -40,123 +41,131 @@ func bestFitFleet(t *testing.T, hosts, cells int, router string, shape resources
 
 // TestFleetReplayParity is the federation's headline contract: replaying a
 // trace through the fleet's HTTP API — concurrent sequence-numbered
-// clients, prediction memo-cache on — produces per-cell final aggregates
-// byte-identical to sharding the same trace offline with cell.PlanCells and
-// running every shard through sim.Run, for each statically routed router
-// kind.
+// clients — produces per-cell final aggregates byte-identical to sharding
+// the same trace offline with cell.PlanCells and running every shard
+// through sim.Run, for each statically routed router kind. It runs over the
+// dist table and over a GBDT, whose bin-keyed reprediction reuse
+// (scheduler.ExitCache) is then active in both arms.
 func TestFleetReplayParity(t *testing.T) {
 	const cells = 4
 	tr := smallTrace(t, 16, 3, 7)
 	tr.Sort() // canonical record order, the sharding precondition
-	pred, err := model.TrainDistTable(tr.Records, nil)
+	dist, err := model.TrainDistTable(tr.Records, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := model.TrainGBDT(tr.Records, gbdt.Params{Trees: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := []model.Predictor{dist, gb}
+
+	for _, router := range []string{"round-robin", "feature-hash"} {
+		t.Run(router, func(t *testing.T) {
+			for _, pred := range preds {
+				t.Run(pred.Name(), func(t *testing.T) { fleetReplayParity(t, tr, pred, router, cells) })
+			}
+		})
+	}
+}
+
+// fleetReplayParity is one arm of TestFleetReplayParity.
+func fleetReplayParity(t *testing.T, tr *trace.Trace, pred model.Predictor, router string, cells int) {
+	// Offline reference: shard, then replay every cell.
+	plan, err := cell.PlanCells(tr, router, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := make([]*sim.Result, cells)
+	for i, ct := range plan.Cells {
+		res, err := sim.Run(sim.Config{Trace: ct, Policy: scheduler.NewLAVA(pred, time.Minute)})
+		if err != nil {
+			t.Fatalf("offline cell %d: %v", i, err)
+		}
+		offline[i] = res
+	}
+	offRoll, err := cell.RollUp(plan.Router, plan.Hosts, offline)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, router := range []string{"round-robin", "feature-hash"} {
-		t.Run(router, func(t *testing.T) {
-			// Offline reference: shard, then replay every cell.
-			plan, err := cell.PlanCells(tr, router, cells)
-			if err != nil {
-				t.Fatal(err)
-			}
-			offline := make([]*sim.Result, cells)
-			for i, ct := range plan.Cells {
-				res, err := sim.Run(sim.Config{Trace: ct, Policy: scheduler.NewLAVA(pred, time.Minute)})
-				if err != nil {
-					t.Fatalf("offline cell %d: %v", i, err)
-				}
-				offline[i] = res
-			}
-			offRoll, err := cell.RollUp(plan.Router, plan.Hosts, offline)
-			if err != nil {
-				t.Fatal(err)
-			}
+	// Served federation: same trace, concurrency 8.
+	fc := FleetFromTrace(tr)
+	fc.Cells = cells
+	fc.Router = router
+	fc.NewPolicy = func(int) (scheduler.Policy, error) {
+		return scheduler.NewLAVA(pred, time.Minute), nil
+	}
+	fleet, err := NewFleet(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	hs := httptest.NewServer(fleet.Handler())
+	defer hs.Close()
 
-			// Served federation: same trace, concurrency 8, memo on.
-			memo := Memoize(pred, 0)
-			fc := FleetFromTrace(tr)
-			fc.Cells = cells
-			fc.Router = router
-			fc.Memo = memo
-			fc.NewPolicy = func(int) (scheduler.Policy, error) {
-				return scheduler.NewLAVA(memo, time.Minute), nil
-			}
-			fleet, err := NewFleet(fc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fleet.Close()
-			hs := httptest.NewServer(fleet.Handler())
-			defer hs.Close()
+	client := &Client{Base: hs.URL}
+	rep, err := client.Replay(context.Background(), tr, ReplayOptions{Concurrency: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FleetFinal == nil {
+		t.Fatal("fleet replay returned no federation breakdown")
+	}
+	fd := rep.FleetFinal
+	if len(fd.Cells) != cells {
+		t.Fatalf("drain reported %d cells, want %d", len(fd.Cells), cells)
+	}
 
-			client := &Client{Base: hs.URL}
-			rep, err := client.Replay(context.Background(), tr, ReplayOptions{Concurrency: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.FleetFinal == nil {
-				t.Fatal("fleet replay returned no federation breakdown")
-			}
-			fd := rep.FleetFinal
-			if len(fd.Cells) != cells {
-				t.Fatalf("drain reported %d cells, want %d", len(fd.Cells), cells)
-			}
+	// Per-cell byte parity: metrics, identity, series length.
+	for i := range fd.Cells {
+		want, err := json.Marshal(runner.MetricsOf(offline[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(fd.Cells[i].Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("cell %d diverged from offline shard:\nserved:  %s\noffline: %s", i, got, want)
+		}
+		if fd.Cells[i].Pool != offline[i].PoolName {
+			t.Fatalf("cell %d pool %q != offline %q", i, fd.Cells[i].Pool, offline[i].PoolName)
+		}
+		if fd.Cells[i].SeriesLen != offline[i].Series.Len() {
+			t.Fatalf("cell %d series length %d != offline %d", i, fd.Cells[i].SeriesLen, offline[i].Series.Len())
+		}
+	}
 
-			// Per-cell byte parity: metrics, identity, series length.
-			for i := range fd.Cells {
-				want, err := json.Marshal(runner.MetricsOf(offline[i]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := json.Marshal(fd.Cells[i].Metrics)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("cell %d diverged from offline shard:\nserved:  %s\noffline: %s", i, got, want)
-				}
-				if fd.Cells[i].Pool != offline[i].PoolName {
-					t.Fatalf("cell %d pool %q != offline %q", i, fd.Cells[i].Pool, offline[i].PoolName)
-				}
-				if fd.Cells[i].SeriesLen != offline[i].Series.Len() {
-					t.Fatalf("cell %d series length %d != offline %d", i, fd.Cells[i].SeriesLen, offline[i].Series.Len())
-				}
-			}
-
-			// Fleet-level rollup parity against cell.RollUp over the
-			// offline results.
-			wantRoll, err := json.Marshal(&runner.Metrics{
-				AvgEmptyHostFrac:  offRoll.AvgEmptyHostFrac,
-				AvgEmptyToFree:    offRoll.AvgEmptyToFree,
-				AvgPackingDensity: offRoll.AvgPackingDensity,
-				AvgCPUUtil:        offRoll.AvgCPUUtil,
-				Placements:        offRoll.Placements,
-				Exits:             offRoll.Exits,
-				Failed:            offRoll.Failed,
-				Killed:            offRoll.Killed,
-				ModelCalls:        offRoll.ModelCalls,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotRoll, err := json.Marshal(fd.Metrics)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotRoll, wantRoll) {
-				t.Fatalf("fleet rollup diverged:\nserved:  %s\noffline: %s", gotRoll, wantRoll)
-			}
-			if fd.UtilSpread != offRoll.UtilSpread {
-				t.Fatalf("util spread %v != offline %v", fd.UtilSpread, offRoll.UtilSpread)
-			}
-			if fd.Router != router {
-				t.Fatalf("drain router %q, want %q", fd.Router, router)
-			}
-			if ms := memo.Stats(); ms.Hits == 0 {
-				t.Fatalf("shared memo cache saw no hits: %+v", ms)
-			}
-		})
+	// Fleet-level rollup parity against cell.RollUp over the
+	// offline results.
+	wantRoll, err := json.Marshal(&runner.Metrics{
+		AvgEmptyHostFrac:  offRoll.AvgEmptyHostFrac,
+		AvgEmptyToFree:    offRoll.AvgEmptyToFree,
+		AvgPackingDensity: offRoll.AvgPackingDensity,
+		AvgCPUUtil:        offRoll.AvgCPUUtil,
+		Placements:        offRoll.Placements,
+		Exits:             offRoll.Exits,
+		Failed:            offRoll.Failed,
+		Killed:            offRoll.Killed,
+		ModelCalls:        offRoll.ModelCalls,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRoll, err := json.Marshal(fd.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotRoll, wantRoll) {
+		t.Fatalf("fleet rollup diverged:\nserved:  %s\noffline: %s", gotRoll, wantRoll)
+	}
+	if fd.UtilSpread != offRoll.UtilSpread {
+		t.Fatalf("util spread %v != offline %v", fd.UtilSpread, offRoll.UtilSpread)
+	}
+	if fd.Router != router {
+		t.Fatalf("drain router %q, want %q", fd.Router, router)
 	}
 }
 

@@ -61,10 +61,6 @@ type Config struct {
 	// blocks when the queue is full — backpressure, not load shedding.
 	QueueDepth int
 
-	// Memo, if the caller wrapped the policy's predictor with Memoize,
-	// lets /stats report cache hit rates. Optional.
-	Memo *MemoPredictor
-
 	// TraceK > 0 enables decision tracing: every placement decision is
 	// recorded with its top-K scored alternatives and served by the /trace
 	// endpoint. Zero disables tracing (no recorder, no hot-path cost).
@@ -165,7 +161,6 @@ type Stats struct {
 	Pending    int                  `json:"pending_seq"` // reorder-buffer occupancy
 	Draining   bool                 `json:"draining"`
 	Latency    *runner.ServingStats `json:"latency,omitempty"`
-	Memo       *MemoStats           `json:"memo,omitempty"`
 
 	// SLO is the live per-class admission block (counts + Jain fairness);
 	// omitted when the SLO layer is off, so pre-class clients decode the
@@ -652,10 +647,6 @@ func (s *Server) statsNow(pendingSeq int) Stats {
 	}
 	if mc, ok := s.cfg.Policy.(modelCaller); ok {
 		st.ModelCalls = mc.ModelCalls()
-	}
-	if s.cfg.Memo != nil {
-		ms := s.cfg.Memo.Stats()
-		st.Memo = &ms
 	}
 	st.SLO = s.m.SLOSummary()
 	return st

@@ -39,8 +39,7 @@ func smallTrace(t *testing.T, hosts, days int, seed int64) *trace.Trace {
 
 // TestServedReplayParity is the headline contract: replaying a trace
 // through the HTTP API with concurrent, sequence-numbered clients produces
-// final aggregates byte-identical to offline sim.Run on the same trace —
-// with the prediction memo-cache enabled, proving it semantically inert.
+// final aggregates byte-identical to offline sim.Run on the same trace.
 func TestServedReplayParity(t *testing.T) {
 	tr := smallTrace(t, 16, 3, 7)
 	pred, err := model.TrainDistTable(tr.Records, nil)
@@ -57,10 +56,8 @@ func TestServedReplayParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	memo := Memoize(pred, 0)
 	cfg := FromTrace(tr)
-	cfg.Policy = scheduler.NewLAVA(memo, time.Minute)
-	cfg.Memo = memo
+	cfg.Policy = scheduler.NewLAVA(pred, time.Minute)
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +84,6 @@ func TestServedReplayParity(t *testing.T) {
 	}
 	if rep.Serving == nil || rep.Serving.Requests == 0 {
 		t.Fatal("replay reported no latency observations")
-	}
-	ms := memo.Stats()
-	if ms.Hits == 0 {
-		t.Fatalf("memo cache saw no hits: %+v", ms)
 	}
 }
 
@@ -516,32 +509,6 @@ func TestDrainFlushesGappedPendingInOrder(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("post-drain seq %d parked forever", q)
 		}
-	}
-}
-
-// TestMemoPredictorTransparent checks hit accounting and value equality
-// against the raw predictor.
-func TestMemoPredictorTransparent(t *testing.T) {
-	tr := smallTrace(t, 8, 2, 3)
-	raw, err := model.TrainDistTable(tr.Records, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := Memoize(raw, 0)
-	for pass := 0; pass < 2; pass++ {
-		for i := range tr.Records {
-			rec := &tr.Records[i]
-			vm := &cluster.VM{ID: rec.ID, Shape: rec.Shape, Feat: rec.Feat, TrueLifetime: rec.Lifetime}
-			for _, up := range []time.Duration{0, time.Hour} {
-				if got, want := memo.PredictRemaining(vm, up), raw.PredictRemaining(vm, up); got != want {
-					t.Fatalf("memoized prediction %v != raw %v", got, want)
-				}
-			}
-		}
-	}
-	st := memo.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("degenerate memo stats: %+v", st)
 	}
 }
 

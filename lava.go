@@ -350,12 +350,6 @@ type ServeConfig struct {
 	// fine for PolicyWasteMin/PolicyBestFit.
 	Pred Predictor
 
-	// Memo interposes a (features, uptime) memo-cache in front of Pred.
-	// Only correct for feature-pure model families (gbdt, km, dist, mlp,
-	// cox) — leave it off for ModelOracle, whose predictions depend on the
-	// individual VM. Memoization never changes decisions, only their cost.
-	Memo bool
-
 	// CacheRefresh is the host-score cache refresh interval, with
 	// ScenarioConfig's convention: 0 = default (1 minute), negative =
 	// disabled.
@@ -408,12 +402,6 @@ func NewServer(tr *Trace, cfg ServeConfig) (*serve.Server, error) {
 	if kind == "" {
 		kind = PolicyLAVA
 	}
-	pred := cfg.Pred
-	var memo *serve.MemoPredictor
-	if cfg.Memo && pred != nil {
-		memo = serve.Memoize(pred, 0)
-		pred = memo
-	}
 	refresh := cfg.CacheRefresh
 	switch {
 	case refresh == 0:
@@ -421,7 +409,7 @@ func NewServer(tr *Trace, cfg ServeConfig) (*serve.Server, error) {
 	case refresh < 0:
 		refresh = 0
 	}
-	pol, err := newPolicy(kind, pred, refresh)
+	pol, err := newPolicy(kind, cfg.Pred, refresh)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +422,6 @@ func NewServer(tr *Trace, cfg ServeConfig) (*serve.Server, error) {
 	sc.TickEvery = cfg.TickEvery
 	sc.SampleEvery = cfg.SampleEvery
 	sc.QueueDepth = cfg.QueueDepth
-	sc.Memo = memo
 	sc.TraceK = cfg.TraceK
 	sc.TraceCap = cfg.TraceCap
 	sc.TraceOut = cfg.TraceOut
@@ -494,11 +481,10 @@ type FleetConfig struct {
 
 // NewFleet builds a federated placement front-end (serve.Fleet) over the
 // trace's pool geometry: hosts split evenly across cfg.Cells exactly as
-// cell.SplitHosts shards them offline, one policy instance per cell, one
-// shared prediction memo-cache. Replaying a trace against the fleet
-// reproduces cell.PlanCells + per-cell Simulate byte-for-byte for the
-// statically routed router kinds — the parity test in internal/serve
-// asserts it.
+// cell.SplitHosts shards them offline, one policy instance per cell.
+// Replaying a trace against the fleet reproduces cell.PlanCells + per-cell
+// Simulate byte-for-byte for the statically routed router kinds — the
+// parity test in internal/serve asserts it.
 func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 	fc, _, err := buildFleetConfig(tr, cfg)
 	if err != nil {
@@ -508,11 +494,11 @@ func NewFleet(tr *Trace, cfg FleetConfig) (*serve.Fleet, error) {
 }
 
 // buildFleetConfig resolves a facade FleetConfig into the serve-layer one:
-// scenario composition, memoization, policy factory, router and admission
-// defaults. It also returns the (possibly scenario-composed) trace the fleet
-// geometry came from — the event stream an offline reference replay must
-// use. Shared by NewFleet and ReplayFleetOffline so the two arms of a
-// parity comparison cannot drift in setup.
+// scenario composition, policy factory, router and admission defaults. It
+// also returns the (possibly scenario-composed) trace the fleet geometry
+// came from — the event stream an offline reference replay must use.
+// Shared by NewFleet and ReplayFleetOffline so the two arms of a parity
+// comparison cannot drift in setup.
 func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, error) {
 	kind := cfg.Policy
 	if kind == "" {
@@ -541,17 +527,7 @@ func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, er
 		tr = labeled
 	}
 	pred := cfg.Pred
-	var memo *serve.MemoPredictor
-	if cfg.Memo && pred != nil {
-		memo = serve.Memoize(pred, 0)
-		pred = memo
-	}
 	if spec != nil && pred != nil {
-		// Model events wrap OUTSIDE the memo: a swapped model's output
-		// depends on per-VM state (creation time) the memo key cannot
-		// capture, so memoizing it would change decisions. Memoizing the
-		// feature-pure base and wrapping the swap around it keeps both the
-		// cache hits and the scenario semantics.
 		pred = spec.WrapModel(pred)
 	}
 	refresh := cfg.CacheRefresh
@@ -581,7 +557,6 @@ func buildFleetConfig(tr *Trace, cfg FleetConfig) (serve.FleetConfig, *Trace, er
 	fc.TickEvery = cfg.TickEvery
 	fc.SampleEvery = cfg.SampleEvery
 	fc.QueueDepth = cfg.QueueDepth
-	fc.Memo = memo
 	fc.TraceK = cfg.TraceK
 	fc.TraceCap = cfg.TraceCap
 	fc.SLO = adm
