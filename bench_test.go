@@ -222,6 +222,38 @@ func BenchmarkLAVAGBDTPlacement(b *testing.B) {
 	b.ReportMetric(float64(pred.evals)/float64(n), "model-evals/op")
 }
 
+// BenchmarkLAVAEpochReplay replays a 1,000-host trace under epoch-quantized
+// LAVA over the dist model, the scheduler-bound path the mega scale cells
+// take. The replay spans several days, so it crosses dozens of 2h epoch
+// boundaries, which the per-placement scale cells never do. One op is one
+// replay. rescored-hosts/op counts the hosts the score cache re-scored (full
+// context rebuilds plus dirty updates); it is deterministic, so a change
+// that makes epoch rollovers invalidate the cache again moves it several-
+// fold.
+func BenchmarkLAVAEpochReplay(b *testing.B) {
+	tr, err := GenerateTrace(TraceConfig{Name: "epoch-bench", Hosts: 1000, Days: 2, PrefillDays: 3, Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred, err := TrainModel(tr, ModelDist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var rescored int64
+	n := 0
+	for b.Loop() {
+		pol := scheduler.NewLAVAEpoch(pred, time.Minute, scheduler.DefaultEpoch)
+		if _, err := sim.Run(sim.Config{Trace: tr, Policy: pol}); err != nil {
+			b.Fatal(err)
+		}
+		w := scheduler.CacheWorkOf(pol)
+		rescored += w.RebuildHosts + w.DirtyHosts
+		n++
+	}
+	b.ReportMetric(float64(rescored)/float64(n), "rescored-hosts/op")
+}
+
 // BenchmarkTraceOverhead prices decision tracing on the Fig. 6 fixture
 // under LAVA, the heaviest scheduling path: "off" is the untraced baseline
 // (the hot path must be unaffected — it stays inside the gated

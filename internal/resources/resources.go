@@ -1,6 +1,9 @@
 package resources
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Vector is a multi-dimensional resource amount. CPU is measured in
 // milli-cores so that fractional-core VM shapes stay integral, memory in
@@ -106,29 +109,15 @@ func DominantShare(v, cap Vector) float64 {
 // cap: the difference between the largest and smallest free fraction across
 // the CPU and memory dimensions (SSD is excluded because many families have
 // no SSD). A perfectly proportional free shape scores 0; a host with free
-// memory but no free CPU scores ~1. The waste-minimization baseline
-// minimizes this quantity to keep leftover shapes schedulable (§2.2).
+// memory but no free CPU scores ~1; a capacity without CPU or memory
+// scores 0. The waste-minimization baseline minimizes this quantity to keep
+// leftover shapes schedulable (§2.2), once per candidate host, so it must
+// not allocate.
 func Imbalance(v, cap Vector) float64 {
-	var fr []float64
-	if cap.CPUMilli > 0 {
-		fr = append(fr, float64(v.CPUMilli)/float64(cap.CPUMilli))
-	}
-	if cap.MemoryMB > 0 {
-		fr = append(fr, float64(v.MemoryMB)/float64(cap.MemoryMB))
-	}
-	if len(fr) < 2 {
+	if cap.CPUMilli <= 0 || cap.MemoryMB <= 0 {
 		return 0
 	}
-	lo, hi := fr[0], fr[0]
-	for _, f := range fr[1:] {
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
-	}
-	return hi - lo
+	return math.Abs(float64(v.CPUMilli)/float64(cap.CPUMilli) - float64(v.MemoryMB)/float64(cap.MemoryMB))
 }
 
 // String renders the vector in a compact human-readable form.

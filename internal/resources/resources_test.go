@@ -138,6 +138,57 @@ func TestImbalanceRange(t *testing.T) {
 	}
 }
 
+// sliceImbalance is the former slice-based Imbalance, kept as the
+// reference the allocation-free form must match bit for bit.
+func sliceImbalance(v, cap Vector) float64 {
+	var fr []float64
+	if cap.CPUMilli > 0 {
+		fr = append(fr, float64(v.CPUMilli)/float64(cap.CPUMilli))
+	}
+	if cap.MemoryMB > 0 {
+		fr = append(fr, float64(v.MemoryMB)/float64(cap.MemoryMB))
+	}
+	if len(fr) < 2 {
+		return 0
+	}
+	lo, hi := fr[0], fr[0]
+	for _, f := range fr[1:] {
+		if f < lo {
+			lo = f
+		}
+		if f > hi {
+			hi = f
+		}
+	}
+	return hi - lo
+}
+
+// TestImbalanceMatchesSliceForm checks the two-ratio Imbalance against the
+// slice-based reference bit for bit, over a grid that includes zero and
+// negative capacities, empty vectors and over-full (negative free) vectors.
+func TestImbalanceMatchesSliceForm(t *testing.T) {
+	caps := []int64{-1000, 0, 1, 3, 1000, 7000, 64000, 262144}
+	vals := []int64{-262144, -7001, -1, 0, 1, 2, 333, 999, 1000, 4096, 64000, 262144, 1 << 40}
+	for _, cc := range caps {
+		for _, cm := range caps {
+			cap := Vector{CPUMilli: cc, MemoryMB: cm, SSDGB: 375}
+			for _, vc := range vals {
+				for _, vm := range vals {
+					v := Vector{CPUMilli: vc, MemoryMB: vm}
+					got, want := Imbalance(v, cap), sliceImbalance(v, cap)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("Imbalance(%+v, %+v) = %v (%#x), slice form %v (%#x)",
+							v, cap, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+	if got := Imbalance(Vector{}, Vector{}); got != 0 {
+		t.Fatalf("Imbalance(empty, empty) = %v, want 0", got)
+	}
+}
+
 func TestString(t *testing.T) {
 	got := Cores(2, 8192, 375).String()
 	want := "cpu=2000m mem=8192MB ssd=375GB"

@@ -20,15 +20,24 @@ import (
 // The epoch variants trade bucket-boundary precision for cacheability:
 // virtual time is quantized into fixed epochs (1–2h, comparable to the
 // coarser temporal-cost buckets), and within an epoch the temporal score is
-// a pure function of (host exit estimate, VM remaining-lifetime bucket) —
-// i.e. of host state and the cache context. That makes the level *static*:
-// the incremental engine caches it per (shape, class) context like the
-// packing levels, re-scoring a host only when a placement or exit dirties
-// it, and invalidates everything at once when the clock crosses an epoch
-// boundary (CachedChain.Epoch). Amortized over the multi-minute epochs the
-// rollover rebuild is negligible, and the steady-state sync cost is
-// O(dirtied hosts) — the dynamic-level full scan is gone; what remains per
-// decision is the winning-bucket filter every cached policy pays.
+// a pure function of (host exit estimate, VM remaining-lifetime bucket).
+// How the incremental engine exploits that depends on where the level sits
+// in the chain:
+//
+//   - NILAS-epoch: the temporal level is level 0, the bucket key. It is
+//     static: the engine caches it per (shape, remaining-lifetime bucket)
+//     context like the packing levels, re-scoring a host only when a
+//     placement or exit dirties it, and invalidates everything at once when
+//     the clock crosses an epoch boundary (CachedChain.Epoch). The dynamic-
+//     level full scan is gone; the rollover rebuild is the price.
+//   - LAVA-epoch: the class level decides first and the temporal level only
+//     breaks ties inside the winning class bucket, exactly like exact LAVA.
+//     The temporal level is therefore Dynamic under a static class level,
+//     evaluated on the winning bucket only, and the context is (shape, LAVA
+//     class). Nothing cached depends on the epoch, so rollovers invalidate
+//     nothing. What the quantization still buys here is an O(1) score per
+//     candidate: the host estimate is a running max instead of ExitCache's
+//     rescan of the host's VMs.
 //
 // Equivalence between engines is the usual structural argument: both run
 // the same scorer over the same candidates, the host-exit estimates are
@@ -85,9 +94,10 @@ func (e *epochTemporal) onExited(h *cluster.Host) {
 // score is the epoch-quantized temporal cost: both exit times are snapped
 // onto the epoch grid before the NILAS ∆T bucketing. Within one epoch the
 // result depends only on the host's exit estimate and the VM's quantized
-// remaining lifetime (part of the cache context), which is what lets the
-// incremental engine cache it as a static level; CachedChain.Epoch triggers
-// the full invalidation when now crosses an epoch boundary.
+// remaining lifetime, which is what lets NILAS-epoch cache it as a static
+// level keyed by that bucket; CachedChain.Epoch triggers the full
+// invalidation when now crosses an epoch boundary. LAVA-epoch evaluates it
+// as a dynamic level.
 func (e *epochTemporal) score(h *cluster.Host, vm *cluster.VM, now time.Duration) float64 {
 	es := now - now%e.epoch // epoch start
 	hx := es                // empty or already-drained hosts exit "now", floored to the grid
@@ -106,8 +116,8 @@ func (e *epochTemporal) score(h *cluster.Host, vm *cluster.VM, now time.Duration
 // NewNILASEpoch builds the epoch-quantized NILAS variant: the same scorer
 // chain shape as NewNILAS, with the exact temporal cost replaced by the
 // epoch-quantized level above. Every level is static, so the incremental
-// engine serves whole decisions from cache; epoch is the quantization step
-// (DefaultEpoch when zero).
+// engine serves whole decisions from cache and rebuilds each context once
+// per epoch; epoch is the quantization step (DefaultEpoch when zero).
 func NewNILASEpoch(pred model.Predictor, refresh, epoch time.Duration) *NILAS {
 	if epoch <= 0 {
 		epoch = DefaultEpoch
@@ -127,9 +137,10 @@ func NewNILASEpoch(pred model.Predictor, refresh, epoch time.Duration) *NILAS {
 
 // NewLAVAEpoch builds the epoch-quantized LAVA variant: class preference
 // and packing levels as in NewLAVA, temporal tie-break through the epoch
-// grid. The cache context packs the LAVA lifetime class and the quantized
-// remaining-lifetime bucket (4 bits each side), both derived from the one
-// memoized reprediction per pass.
+// grid. As in NewLAVA the temporal level is dynamic and the cache context is
+// (shape, LAVA class): the class level decides first, so the epoch score is
+// only ever evaluated on the winning class bucket, and an epoch rollover
+// leaves every cached level valid.
 func NewLAVAEpoch(pred model.Predictor, refresh, epoch time.Duration) *LAVA {
 	if epoch <= 0 {
 		epoch = DefaultEpoch
@@ -140,11 +151,8 @@ func NewLAVAEpoch(pred model.Predictor, refresh, epoch time.Duration) *LAVA {
 		ScorerFunc{FuncName: "lava-class", F: l.classScore},
 		ScorerFunc{FuncName: "temporal-epoch", F: l.et.score},
 	}, nilasPackingScorers()...)},
-		ClassOf: func(vm *cluster.VM, now time.Duration) int32 {
-			rem := l.cache.Remaining(vm, now)
-			return int32(simtime.ClassOf(rem))<<4 | int32(simtime.TemporalCost(rem))
-		},
-		Epoch: epoch,
+		Dynamic: []bool{false, true},
+		ClassOf: func(vm *cluster.VM, now time.Duration) int32 { return int32(l.vmClass(vm, now)) },
 	}
 	return l
 }

@@ -57,6 +57,8 @@ func (l *LAVA) SetEngine(e Engine) { l.chain.SetEngine(e) }
 
 func (l *LAVA) engineOf() Engine { return l.chain.engine }
 
+func (l *LAVA) cacheWork() CacheWork { return l.chain.work }
+
 // EnableTrace implements Traceable (see Chain.EnableTrace).
 func (l *LAVA) EnableTrace(k int) { l.chain.EnableTrace(k) }
 

@@ -43,6 +43,8 @@ func (n *NILAS) SetEngine(e Engine) { n.chain.SetEngine(e) }
 
 func (n *NILAS) engineOf() Engine { return n.chain.engine }
 
+func (n *NILAS) cacheWork() CacheWork { return n.chain.work }
+
 // EnableTrace implements Traceable (see Chain.EnableTrace).
 func (n *NILAS) EnableTrace(k int) { n.chain.EnableTrace(k) }
 

@@ -49,9 +49,9 @@ type CacheContext struct {
 
 // maxCachedContexts bounds the per-policy context population (distinct VM
 // shapes x classes). Workload mixes are small and discrete — the fig6 mix
-// has ~21 shapes, times four LAVA lifetime classes ~84 contexts; the epoch
-// variants multiply by the ~11 quantized remaining-lifetime buckets instead,
-// of which only a handful are populated per shape in practice — so the cap
+// has ~21 shapes, times four LAVA lifetime classes ~84 contexts; NILAS-epoch
+// multiplies by the ~11 quantized remaining-lifetime buckets instead, of
+// which only a handful are populated per shape in practice — so the cap
 // sits above the realistic population and exists only to keep memory
 // bounded under adversarial inputs (memory ceiling: contexts x hosts x
 // levels x 8 bytes). The least-recently-used context is evicted and rebuilt
@@ -93,11 +93,13 @@ type CachedChain struct {
 	TimeVarying bool
 
 	// Epoch is the middle ground between fully static and TimeVarying:
-	// scores that are pure within a fixed quantum of virtual time (the
-	// epoch-quantized temporal levels, see epoch.go). When set, every
+	// static scores that are pure within a fixed quantum of virtual time
+	// (NILAS-epoch's level-0 temporal score, see epoch.go). When set, every
 	// cached score is invalidated whenever now crosses an Epoch boundary —
-	// one DirtyAll per epoch instead of per Schedule, amortized to nothing
-	// over the epoch's many placements.
+	// one DirtyAll per epoch instead of per Schedule, paid as one full
+	// rebuild per live context. A chain whose epoch-quantized level is not
+	// level 0 should make that level Dynamic instead (LAVA-epoch), which
+	// needs no rollover at all.
 	Epoch time.Duration
 
 	engine   Engine
@@ -110,6 +112,17 @@ type CachedChain struct {
 	list   []*candSet // same sets, for event fan-out and eviction
 	useSeq uint64
 	cur    *candSet // context of the Schedule in progress (levelScore)
+	work   CacheWork
+}
+
+// CacheWork counts the incremental engine's maintenance work since the
+// policy was built. The counts depend only on the operation stream, so
+// they repeat exactly from run to run and can be gated without noise.
+type CacheWork struct {
+	Contexts     int64 // candidate sets created (including re-creations after eviction)
+	Rebuilds     int64 // full rescans: context creation, DirtyAll, epoch rollover
+	RebuildHosts int64 // hosts scored by full rescans
+	DirtyHosts   int64 // hosts scored by dirty updates
 }
 
 // NewCachedChain wraps chain in the incremental score-cache engine. dynamic
@@ -140,6 +153,17 @@ func EngineOf(p Policy) Engine {
 }
 
 func (c *CachedChain) engineOf() Engine { return c.engine }
+
+// CacheWorkOf reports the score-cache work counters of a policy on the
+// incremental engine; policies without a score cache report zeros.
+func CacheWorkOf(p Policy) CacheWork {
+	if s, ok := p.(interface{ cacheWork() CacheWork }); ok {
+		return s.cacheWork()
+	}
+	return CacheWork{}
+}
+
+func (c *CachedChain) cacheWork() CacheWork { return c.work }
 
 // SetEngine flips a policy (and any policies it wraps, e.g. both arms of a
 // Switched rollout) onto the given engine. Policies without an engine
@@ -316,6 +340,7 @@ func (c *CachedChain) lookup(ctx CacheContext) *candSet {
 			c.evictLRU()
 		}
 		cs = newCandSet(ctx, len(c.hosts), len(c.Scorers), c.dyn(0))
+		c.work.Contexts++
 		c.sets[ctx] = cs
 		c.list = append(c.list, cs)
 	}
@@ -408,6 +433,7 @@ func (cs *candSet) markDirty(id cluster.HostID) {
 // rebuild rescans the whole pool (context creation, DirtyAll). Hosts are
 // visited in ID order so bucket member lists come out sorted for free.
 func (cs *candSet) rebuild(c *CachedChain, vm *cluster.VM, now time.Duration) {
+	c.work.Rebuilds++
 	for i := range cs.feasible {
 		cs.feasible[i] = false
 		cs.isDirty[i] = false
@@ -424,6 +450,7 @@ func (cs *candSet) rebuild(c *CachedChain, vm *cluster.VM, now time.Duration) {
 		}
 		cs.feasible[id] = true
 		cs.score(c, h, vm, now)
+		c.work.RebuildHosts++
 		if cs.dyn0 {
 			cs.feasIDs = append(cs.feasIDs, cluster.HostID(id))
 			continue
@@ -454,6 +481,7 @@ func (cs *candSet) update(c *CachedChain, id cluster.HostID, vm *cluster.VM, now
 		return
 	}
 	cs.score(c, h, vm, now)
+	c.work.DirtyHosts++
 	cs.insertMember(id)
 }
 

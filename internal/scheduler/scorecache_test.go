@@ -383,3 +383,91 @@ func TestCachedContextEviction(t *testing.T) {
 		}
 	}
 }
+
+// replayCacheWork drives one policy on the cached engine through a fixed
+// arrival/exit stream spanning about 12h of virtual time (six DefaultEpoch
+// boundaries) and returns its score-cache work counters. The stream does
+// not depend on the policy's decisions, and the pool is large enough that
+// no arrival fails, so every policy sees the same VMs at the same times.
+func replayCacheWork(t *testing.T, mk func() Policy) CacheWork {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	tw := newTwin(48, mk, EngineCached)
+	// One lifetime per LAVA class, so every class context occurs.
+	lives := []time.Duration{20 * time.Minute, 3 * time.Hour, 30 * time.Hour, 300 * time.Hour}
+	var live []cluster.VMID
+	now := time.Duration(0)
+	for step := 0; step < 600; step++ {
+		now += time.Duration(1+rng.Intn(2)) * time.Minute
+		tw.pol.OnTick(tw.p, now)
+		if rng.Float64() < 0.4 && len(live) > 0 {
+			i := rng.Intn(len(live))
+			h, vm, err := tw.p.Exit(live[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+			tw.pol.OnExited(tw.p, h, vm, now)
+			continue
+		}
+		vm := tw.vm(cluster.VMID(step+1), int64(1+rng.Intn(4)), now, lives[rng.Intn(len(lives))])
+		h, err := tw.pol.Schedule(tw.p, vm, now)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err := tw.p.Place(vm, h); err != nil {
+			t.Fatal(err)
+		}
+		tw.pol.OnPlaced(tw.p, h, vm, now)
+		live = append(live, vm.ID)
+	}
+	if n := now / DefaultEpoch; n < 3 {
+		t.Fatalf("stream crossed %d epoch boundaries, want >= 3", n)
+	}
+	return CacheWorkOf(tw.pol)
+}
+
+// TestEpochRolloverWork pins where the epoch variants pay for their
+// quantization. LAVA-epoch scores its temporal level dynamically inside the
+// winning class bucket, so a rollover must invalidate nothing: it rebuilds
+// each context exactly once, when the context is created, and creates the
+// same (shape, class) contexts as exact LAVA. NILAS-epoch keys its buckets
+// by the epoch score and must still rebuild at rollovers.
+func TestEpochRolloverWork(t *testing.T) {
+	pols := cachedPolicies()
+	lava := replayCacheWork(t, pols["lava"])
+	lavaEpoch := replayCacheWork(t, pols["lava-epoch"])
+	nilasEpoch := replayCacheWork(t, pols["nilas-epoch"])
+	t.Logf("lava %+v", lava)
+	t.Logf("lava-epoch %+v", lavaEpoch)
+	t.Logf("nilas-epoch %+v", nilasEpoch)
+	if lava.Contexts == 0 || lava.Rebuilds != lava.Contexts {
+		t.Fatalf("lava: %d rebuilds for %d contexts, want one per context", lava.Rebuilds, lava.Contexts)
+	}
+	if lavaEpoch.Rebuilds != lavaEpoch.Contexts {
+		t.Fatalf("lava-epoch: %d rebuilds for %d contexts, want one per context (no rollover rebuilds)",
+			lavaEpoch.Rebuilds, lavaEpoch.Contexts)
+	}
+	if lavaEpoch.Contexts != lava.Contexts {
+		t.Fatalf("lava-epoch created %d contexts, lava %d; want the same (shape, class) keys",
+			lavaEpoch.Contexts, lava.Contexts)
+	}
+	if nilasEpoch.Rebuilds <= nilasEpoch.Contexts {
+		t.Fatalf("nilas-epoch: %d rebuilds for %d contexts, want rollover rebuilds on top",
+			nilasEpoch.Rebuilds, nilasEpoch.Contexts)
+	}
+	if lavaEpoch.DirtyHosts == 0 || lavaEpoch.RebuildHosts == 0 {
+		t.Fatalf("lava-epoch counted no rescoring work: %+v", lavaEpoch)
+	}
+}
+
+// TestWasteMinScoreAllocs keeps the waste-min level, which every cached
+// policy evaluates once per rescored host, allocation-free.
+func TestWasteMinScoreAllocs(t *testing.T) {
+	p := cluster.NewPool("t", 1, resources.Cores(16, 16*4096, 0))
+	vm := &cluster.VM{ID: 1, Shape: resources.Cores(3, 5000, 0), TrueLifetime: time.Hour}
+	s, h := WasteMinScorer(), p.Host(0)
+	if n := testing.AllocsPerRun(100, func() { s.Score(h, vm, 0) }); n != 0 {
+		t.Fatalf("WasteMinScorer().Score allocates %v objects per call, want 0", n)
+	}
+}
